@@ -11,6 +11,7 @@ Run with ``python -m repro``.  Statements end with ``;``.  Meta-commands:
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from typing import Iterable, TextIO
@@ -182,18 +183,50 @@ class Shell:
         print(text, file=self.out)
 
 
+_DESCRIPTION = """\
+repro -- a miniature System R.  With no subcommand, starts the interactive
+SQL shell: statements end with ';', \\q quits.  SCRIPT files run first."""
+
+_SUBCOMMANDS = """\
+subcommands (each takes --help):
+  check    static verification: plan checks, cost audit, lint, analyses
+  bench    the optimizer and executor micro-benchmarks
+  stress   the concurrent-serving stress harness
+
+Fault plans in REPRO_FAULTS (e.g. pagetable.flip@1:crash) are armed
+before the first statement."""
+
+
+def _shell_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        usage="%(prog)s [-h] [--db PATH] [SCRIPT ...] | {check,bench,stress} ...",
+        description=_DESCRIPTION,
+        epilog=_SUBCOMMANDS,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "--db",
+        metavar="PATH",
+        help="open (or create) a durable database backed by PATH",
+    )
+    parser.add_argument(
+        "scripts",
+        nargs="*",
+        metavar="SCRIPT",
+        help="SQL script files to run before the prompt",
+    )
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``.
 
-    ``python -m repro check [--plans|--costs|--lint|--storage|--fusion|
-    --effects|--concurrency|--dead-code]`` runs the
-    static verification suite, ``python -m repro bench
-    [--quick|--compare]`` the optimizer micro-benchmarks, and
-    ``python -m repro stress [--clients N|--fault SPEC|--fault-smoke]``
-    the concurrent-serving stress harness instead of the shell.  ``--db PATH`` opens (or creates) a durable database backed by
-    ``PATH``; any other arguments are read as SQL script files before the
-    interactive prompt starts.  Fault plans in ``REPRO_FAULTS`` (e.g.
-    ``pagetable.flip@1:crash``) are armed before the first statement.
+    ``check``, ``bench`` and ``stress`` as the first argument hand the
+    rest to that subcommand's own parser.  Otherwise the arguments are
+    the shell's: ``--help`` prints usage and exits 0, an unknown flag
+    exits 2 with usage, and a script file that cannot be read is a
+    one-line error (exit 1) before the shell starts.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "check":
@@ -208,22 +241,26 @@ def main(argv: list[str] | None = None) -> int:
         from .serving.stress import main as stress_main
 
         return stress_main(argv[1:])
-    db_path: str | None = None
-    if "--db" in argv:
-        position = argv.index("--db")
-        if position + 1 >= len(argv):
-            print("usage: --db PATH", file=sys.stderr)
-            return 2
-        db_path = argv[position + 1]
-        del argv[position : position + 2]
+    try:
+        args = _shell_parser().parse_args(argv)
+    except SystemExit as exit_:
+        return int(exit_.code or 0)
+    scripts: list[list[str]] = []
+    for path in args.scripts:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                scripts.append(handle.readlines())
+        except (OSError, UnicodeDecodeError) as error:
+            reason = getattr(error, "strerror", None) or str(error)
+            print(f"repro: cannot read script {path!r}: {reason}", file=sys.stderr)
+            return 1
     from .rss.faults import arm_from_env
 
     arm_from_env()
-    shell = Shell(Database(path=db_path))
+    shell = Shell(Database(path=args.db))
     print("repro — a miniature System R. \\q to quit; statements end with ;")
-    for path in argv:
-        with open(path, encoding="utf-8") as handle:
-            shell.run(handle)
+    for lines in scripts:
+        shell.run(lines)
     try:
         while not shell.finished:
             prompt = "repro> " if not shell._buffer else "  ...> "

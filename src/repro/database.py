@@ -3,7 +3,10 @@
 ``Database`` owns the catalog, the storage engine, the optimizer
 configuration, and the executor, and processes SQL statements through the
 paper's four phases — parsing, optimization, (interpreted) code generation,
-and execution::
+and execution.  Like System R, it runs the first three once per statement
+*shape* and keeps the result in a statement cache
+(:mod:`repro.serving.statement_cache`); a later statement that differs
+only in its literal values reuses the plan and its compiled drivers::
 
     db = Database()
     db.execute("CREATE TABLE EMP (ENO INTEGER, NAME VARCHAR(20), DNO INTEGER)")
@@ -26,13 +29,14 @@ from .engine.scheduler import resolve_backend, shutdown_backends
 from .errors import ExecutionError, SemanticError, StorageError
 from .optimizer.cost import DEFAULT_W
 from .optimizer.plan import render_plan
-from .optimizer.planner import Optimizer, PlannedStatement
+from .optimizer.planner import Optimizer, PlannedStatement, hash_join_enabled
 from .rss.buffer import DEFAULT_BUFFER_PAGES
 from .rss.storage import StorageEngine
 from .serving.coordinator import GroupCommitCoordinator
 from .serving.locks import DEFAULT_COMMIT_TIMEOUT, RWLatch
 from .serving.session import Session
-from .sql import ast, parse_statement
+from .serving.statement_cache import PreparedStatement, StatementCache
+from .sql import LexedStatement, ast, lex_statement, parse_lexed, parse_statement
 
 
 @dataclass
@@ -47,6 +51,9 @@ class StatementResult:
     commit_version: int | None = None
     #: Pinned version a session read executed against (reads only).
     snapshot_version: int | None = None
+    #: Whether the statement ran a plan from the statement cache (no
+    #: parse, bind, plan or compile).
+    plan_cached: bool = False
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -124,6 +131,8 @@ class Database:
         self._session_lock = threading.Lock()
         self._sessions: set[Session] = set()  # concurrency: lock-guarded
         self._closed = False  # concurrency: lock-guarded
+        #: Prepared statements by shape, shared by every session.
+        self.statement_cache = StatementCache()
 
     # -- configuration ------------------------------------------------------------
 
@@ -212,22 +221,52 @@ class Database:
     # -- statement processing ---------------------------------------------------------
 
     def execute(self, sql: str) -> StatementResult:
-        """Parse, optimize, and execute one SQL statement."""
-        statement = parse_statement(sql)
-        return self.execute_statement(statement)
+        """Run one SQL statement, reusing the cached plan of its shape."""
+        return self._execute_lexed(lex_statement(sql), None)
+
+    def _execute_lexed(
+        self, lexed: LexedStatement, session: Session | None
+    ) -> StatementResult:
+        """Run a lexed statement, for ``session`` when one is given.
+
+        DDL and UPDATE STATISTICS bypass the statement cache; every other
+        statement looks its shape up there first.
+        """
+        shape = lexed.shape
+        if shape[:1] == ("SELECT",):
+            if session is not None:
+                return session._read(lexed)
+            prepared, params, cached = self._prepare(lexed)
+            return self._select_result(self._run(prepared.plan, params), cached)
+        if shape[:1] in (("CREATE",), ("DROP",)) or shape[:2] == (
+            "UPDATE",
+            "STATISTICS",
+        ):
+            return self.execute_statement(parse_lexed(lexed)[0])
+        return self._write(lexed)
 
     def execute_statement(self, statement: ast.Statement) -> StatementResult:
-        """Dispatch an already-parsed statement to DDL, DML, or the optimizer."""
+        """Dispatch an already-parsed statement to DDL, DML, or the optimizer.
+
+        A parsed statement is planned afresh and runs with its own
+        ``params``; only text goes through the statement cache.
+        """
         if isinstance(statement, ast.SelectQuery):
             planned = self.plan_query(statement)
-            result = self._run(planned)
-            return StatementResult(
-                statement_type="SELECT",
-                columns=result.columns,
-                rows=result.rows,
-                affected_rows=len(result.rows),
-            )
+            return self._select_result(self._run(planned, statement.params))
         return self._execute_write(statement)
+
+    @staticmethod
+    def _select_result(
+        result: QueryResult, plan_cached: bool = False
+    ) -> StatementResult:
+        return StatementResult(
+            statement_type="SELECT",
+            columns=result.columns,
+            rows=result.rows,
+            affected_rows=len(result.rows),
+            plan_cached=plan_cached,
+        )
 
     #: Statements that take the schema latch exclusively; everything else
     #: (DML) shares it with concurrent readers.
@@ -240,26 +279,32 @@ class Database:
     )
 
     def _execute_write(self, statement: ast.Statement) -> StatementResult:
-        """Run one write statement through the group-commit pipeline.
+        """Run one parsed write statement through the group-commit pipeline.
 
         The submitter holds the schema latch for the statement's whole
         trip through the queue, so DDL only ever commits alone (its
         exclusive latch has drained every other writer first) and DML
         batches never contain a schema change.
         """
-        latch = (
-            self.ddl_latch.exclusive()
-            if isinstance(statement, self._EXCLUSIVE_STATEMENTS)
-            else self.ddl_latch.shared()
-        )
-        with latch:
+        if not isinstance(statement, self._EXCLUSIVE_STATEMENTS):
+            return self._write(statement)
+        with self.ddl_latch.exclusive():
             result, version = self._coordinator.submit(
-                lambda: self._apply_write(statement)
+                lambda: self._apply_ddl(statement)
             )
         return replace(result, commit_version=version)
 
-    def _apply_write(self, statement: ast.Statement) -> StatementResult:
-        """The statement body run by the group-commit leader (any thread)."""
+    def _write(self, source: LexedStatement | ast.Statement) -> StatementResult:
+        """Prepare a DML statement under the shared latch, then commit it."""
+        with self.ddl_latch.shared():
+            prepared, params, cached = self._prepare(source)
+            result, version = self._coordinator.submit(
+                lambda: self._apply_dml(prepared, params)
+            )
+        return replace(result, commit_version=version, plan_cached=cached)
+
+    def _apply_ddl(self, statement: ast.Statement) -> StatementResult:
+        """A schema or statistics statement, run by the group-commit leader."""
         if isinstance(statement, ast.CreateTableStmt):
             return self._create_table(statement)
         if isinstance(statement, ast.CreateIndexStmt):
@@ -268,12 +313,6 @@ class Database:
             return self._drop_table(statement)
         if isinstance(statement, ast.DropIndexStmt):
             return self._drop_index(statement)
-        if isinstance(statement, ast.InsertStmt):
-            return self._insert(statement)
-        if isinstance(statement, ast.UpdateStmt):
-            return self._update(statement)
-        if isinstance(statement, ast.DeleteStmt):
-            return self._delete(statement)
         if isinstance(statement, ast.UpdateStatisticsStmt):
             with self.storage.atomic():
                 collect_statistics(
@@ -281,6 +320,90 @@ class Database:
                 )
             return StatementResult(statement_type="UPDATE STATISTICS")
         raise ExecutionError(f"unsupported statement {statement!r}")
+
+    def _apply_dml(
+        self, prepared: PreparedStatement, params: tuple
+    ) -> StatementResult:
+        """A prepared DML statement, run by the group-commit leader (any thread)."""
+        statement = prepared.statement
+        if isinstance(statement, ast.InsertStmt):
+            return self._insert(statement, prepared.planned, params)
+        if isinstance(statement, ast.UpdateStmt):
+            return self._update(statement, prepared, params)
+        if isinstance(statement, ast.DeleteStmt):
+            return self._delete(statement, prepared.plan, params)
+        raise ExecutionError(f"unsupported statement {statement!r}")
+
+    # -- the statement cache ------------------------------------------------------------
+
+    def _prepare(
+        self, source: LexedStatement | ast.Statement
+    ) -> tuple[PreparedStatement, tuple, bool]:
+        """``(prepared statement, parameter vector, cache hit?)``.
+
+        A lexed statement goes through the statement cache; a parsed one
+        is prepared afresh and runs with its own ``params``.  Callers that
+        write hold the schema latch, so the catalog version in the key is
+        the one the statement runs against.
+        """
+        if not isinstance(source, LexedStatement):
+            prepared = self._prepare_statement(source)
+            return prepared, prepared.statement.params, False
+        key = self._cache_key(source.shape)
+        cached = self.statement_cache.get(key)
+        if cached is not None:
+            return cached, cached.params(source.values), True
+        statement, negated = parse_lexed(source)
+        prepared = self._prepare_statement(statement, negated)
+        if prepared.cacheable:
+            self.statement_cache.put(key, prepared)
+        return prepared, prepared.statement.params, False
+
+    def _cache_key(self, shape: tuple) -> tuple:
+        """A shape plus everything else a plan for it depends on."""
+        return (
+            shape,
+            self.catalog.version,
+            self.w,
+            self.use_heuristic,
+            self.use_interesting_orders,
+            self.subquery_cache_mode,
+            self.correlation_ordering,
+            self.storage.buffer.capacity,
+            hash_join_enabled(),
+        )
+
+    def _prepare_statement(
+        self, statement: ast.Statement, negated: frozenset[int] = frozenset()
+    ) -> PreparedStatement:
+        """Bind and plan one parsed DML or SELECT statement."""
+        planned: PlannedStatement | None = None
+        assignments: tuple[tuple[int, ast.Expr], ...] = ()
+        if isinstance(statement, ast.SelectQuery):
+            planned = self.plan_query(statement)
+        elif isinstance(statement, ast.InsertStmt):
+            if statement.source is not None:
+                planned = self.plan_query(statement.source)
+        elif isinstance(statement, (ast.UpdateStmt, ast.DeleteStmt)):
+            planned = self._target_plan(statement.table_name, statement.where)
+            if isinstance(statement, ast.UpdateStmt):
+                table = self.catalog.table(statement.table_name)
+                assignments = tuple(
+                    (
+                        table.column_position(column.upper()),
+                        self._bind_dml_expr(expr, table, table.name),
+                    )
+                    for column, expr in statement.assignments
+                )
+        else:
+            raise ExecutionError(f"unsupported statement {statement!r}")
+        return PreparedStatement(
+            statement,
+            planned,
+            assignments,
+            negated,
+            cacheable=planned is None or not planned.value_dependent,
+        )
 
     def query(self, sql: str) -> StatementResult:
         """Alias of :meth:`execute` for read queries."""
@@ -298,13 +421,22 @@ class Database:
         return self.optimizer().plan_query(query)
 
     def explain(self, sql: str) -> str:
-        """Human-readable plan for a SELECT statement."""
-        planned = self.plan(sql)
+        """Human-readable plan for a SELECT statement.
+
+        Shows the plan the statement would run: its shape's cached plan,
+        rendered with this statement's values, or a fresh one.
+        """
+        lexed = lex_statement(sql)
+        if lexed.shape[:1] != ("SELECT",):
+            parse_lexed(lexed)  # a malformed statement raises its parse error
+            raise SemanticError("EXPLAIN accepts SELECT statements only")
+        prepared, params, __ = self._prepare(lexed)
+        planned = prepared.plan
         header = (
             f"estimated cost: {planned.estimated_total():.2f} "
             f"({planned.estimated_cost}) QCARD~{planned.qcard:.1f}"
         )
-        return header + "\n" + render_plan(planned.root, w=planned.w)
+        return header + "\n" + render_plan(planned.root, w=planned.w, params=params)
 
     def update_statistics(self, table_name: str | None = None) -> None:
         """Programmatic UPDATE STATISTICS (one table, or all)."""
@@ -369,7 +501,12 @@ class Database:
 
     # -- DML ----------------------------------------------------------------------------
 
-    def _insert(self, statement: ast.InsertStmt) -> StatementResult:
+    def _insert(
+        self,
+        statement: ast.InsertStmt,
+        planned: PlannedStatement | None,
+        params: tuple,
+    ) -> StatementResult:
         table = self.catalog.table(statement.table_name)
         indexes = self.catalog.indexes_on(table.name)
         if statement.column_names is None:
@@ -379,13 +516,13 @@ class Database:
                 table.column_position(name.upper())
                 for name in statement.column_names
             ]
-        if statement.source is not None:
+        if planned is not None:
             # INSERT ... SELECT: run the query first, then load its rows
             # (materialized, so inserting into the scanned table is safe).
-            source_rows = self._run(self.plan_query(statement.source)).rows
+            source_rows = self._run(planned, params).rows
         else:
             source_rows = [
-                tuple(_constant_value(expr) for expr in row_exprs)
+                tuple(_constant_value(expr, params) for expr in row_exprs)
                 for row_exprs in statement.rows
             ]
         count = 0
@@ -405,41 +542,31 @@ class Database:
                 count += 1
         return StatementResult(statement_type="INSERT", affected_rows=count)
 
-    def _target_rows(self, table_name: str, where: ast.Expr | None):
-        """Plan and run the access to a DML statement's target tuples."""
+    def _target_plan(self, table_name: str, where: ast.Expr | None) -> PlannedStatement:
+        """Plan the access to a DML statement's target tuples."""
         query = ast.SelectQuery(
             select_items=(),
             from_tables=(ast.TableRef(table_name.upper(), table_name.upper()),),
             where=where,
         )
-        planned = self.plan_query(query)
-        executor = Executor(
-            self.storage, self.catalog, self.subquery_cache_mode,
-            exec_mode=self.exec_mode, workers=self.workers,
-            backend=self.backend,
-        )
-        return planned, list(executor.execute_rows(planned))
+        return self.plan_query(query)
 
-    def _update(self, statement: ast.UpdateStmt) -> StatementResult:
+    def _update(
+        self, statement: ast.UpdateStmt, prepared: PreparedStatement, params: tuple
+    ) -> StatementResult:
         table = self.catalog.table(statement.table_name)
         indexes = self.catalog.indexes_on(table.name)
-        planned, rows = self._target_rows(statement.table_name, statement.where)
+        planned = prepared.plan
+        rows = list(self.executor().execute_rows(planned, params))
         alias = table.name
-        assignments = [
-            (
-                table.column_position(column.upper()),
-                self._bind_dml_expr(expr, table, alias),
-            )
-            for column, expr in statement.assignments
-        ]
-        runtime = Runtime(self.storage, self.catalog, planned)
+        runtime = Runtime(self.storage, self.catalog, planned, params=params)
         count = 0
         with self.storage.atomic():
             for row in rows:
                 old_values = row.values[alias]
                 env = EvalEnv(row=row, runtime=runtime)
                 new_values = list(old_values)
-                for position, bound in assignments:
+                for position, bound in prepared.assignments:
                     value = evaluate(bound, env)
                     new_values[position] = table.columns[
                         position
@@ -450,10 +577,12 @@ class Database:
                 count += 1
         return StatementResult(statement_type="UPDATE", affected_rows=count)
 
-    def _delete(self, statement: ast.DeleteStmt) -> StatementResult:
+    def _delete(
+        self, statement: ast.DeleteStmt, planned: PlannedStatement, params: tuple
+    ) -> StatementResult:
         table = self.catalog.table(statement.table_name)
         indexes = self.catalog.indexes_on(table.name)
-        __, rows = self._target_rows(statement.table_name, statement.where)
+        rows = list(self.executor().execute_rows(planned, params))
         alias = table.name
         count = 0
         with self.storage.atomic():
@@ -478,21 +607,17 @@ class Database:
 
     # -- internals -----------------------------------------------------------------------
 
-    def _run(self, planned: PlannedStatement) -> QueryResult:
-        executor = Executor(
-            self.storage, self.catalog, self.subquery_cache_mode,
-            exec_mode=self.exec_mode, workers=self.workers,
-            backend=self.backend,
-        )
+    def _run(self, planned: PlannedStatement, params: tuple) -> QueryResult:
+        executor = self.executor()
         self.last_executor = executor
-        return executor.execute(planned)
+        return executor.execute(planned, params)
 
 
-def _constant_value(expr: ast.Expr) -> object:
+def _constant_value(expr: ast.Expr, params: tuple) -> object:
     if isinstance(expr, ast.Literal):
-        return expr.value
+        return expr.value if expr.slot is None else params[expr.slot]
     if isinstance(expr, ast.Negate) and isinstance(expr.operand, ast.Literal):
-        value = expr.operand.value
+        value = _constant_value(expr.operand, params)
         if isinstance(value, (int, float)):
             return -value
     raise SemanticError("INSERT values must be literals")

@@ -21,8 +21,13 @@ What the compiler pre-resolves:
   semantically identical to :func:`~repro.datatypes.compare_values`
   three-way comparison, including its treatment of NaN; otherwise the
   reference three-way compare is kept.
-- **Constant folding.**  Subtrees built purely from literals evaluate at
-  compile time (``10000 / 12`` is one closure returning a constant).
+- **Literals as parameters.**  A literal parsed from text compiles to a
+  read of its slot in the execution's parameter vector
+  (``env.runtime.params``), so one compiled plan serves every statement
+  of the same shape.  Its static type comes from its token type, which
+  the shape fixes.
+- **Constant folding.**  Subtrees built purely from constants (NULL and
+  hand-built literals) evaluate at compile time; parameters never fold.
 - **CNF factor ordering.**  Conjunctions of *effect-free* boolean factors
   are reordered cheapest-first so a cheap comparison can reject a row
   before an expensive LIKE runs.  Factors containing subqueries are never
@@ -80,6 +85,17 @@ def _const(value: object) -> Compiled:
         return _v
 
     return Compiled(fn=fn, const=True, value=value, rank=0, static_type=_value_type(value))
+
+
+def _literal(expr: ast.Literal) -> Compiled:
+    slot = expr.slot
+    if slot is None:
+        return _const(expr.value)
+
+    def fn(env: EvalEnv, _s: int = slot) -> object:
+        return env.runtime.params[_s]  # type: ignore[attr-defined]
+
+    return Compiled(fn=fn, rank=0, static_type=_value_type(expr.value))
 
 
 def _value_type(value: object) -> str | None:
@@ -183,7 +199,7 @@ class ExprCompiler:
 
     def _compile(self, expr: ast.Expr) -> Compiled:
         if isinstance(expr, ast.Literal):
-            return _const(expr.value)
+            return _literal(expr)
         if isinstance(expr, BoundColumn):
             return self._column(expr)
         if isinstance(expr, AggregateRef):
@@ -372,40 +388,45 @@ class ExprCompiler:
 
     def _in_list(self, expr: ast.InList) -> Compiled:
         operand = self._compile(expr.operand)
-        values = tuple(literal.value for literal in expr.values)
-        rank = 2 + operand.rank + len(values)
+        items = [_literal(literal) for literal in expr.values]
+        rank = 2 + operand.rank + len(items)
         of = operand.fn
-        value_types = {_value_type(v) for v in values if v is not None}
+        # NULL is a keyword, never a parameter: whether the list holds one
+        # is known here, and the other items' types come from their tokens.
+        non_null = [item for item in items if not (item.const and item.value is None)]
+        saw_null = len(non_null) < len(items)
+        item_fns = tuple(item.fn for item in non_null)
+        value_types = {item.static_type for item in non_null}
         if (
             operand.static_type is not None
             and value_types <= {operand.static_type}
         ):
-            non_null = tuple(v for v in values if v is not None)
-            saw_null = any(v is None for v in values)
+            def fn(env: EvalEnv) -> object:
+                o = of(env)
+                if o is None:
+                    return None
+                for item in item_fns:
+                    v = item(env)
+                    if not (o < v or v < o):
+                        return True
+                return None if saw_null else False
+        else:
+            all_fns = tuple(item.fn for item in items)
 
             def fn(env: EvalEnv) -> object:
                 o = of(env)
                 if o is None:
                     return None
-                for v in non_null:
-                    if not (o < v or v < o):
-                        return True
-                return None if saw_null else False
-        else:
-            def fn(env: EvalEnv) -> object:
-                o = of(env)
-                if o is None:
-                    return None
                 unknown = False
-                for v in values:
-                    ordering = compare_values(o, v)
+                for item in all_fns:
+                    ordering = compare_values(o, item(env))
                     if ordering is None:
                         unknown = True
                     elif ordering == 0:
                         return True
                 return None if unknown else False
 
-        return self._fold(fn, (operand,), rank)
+        return self._fold(fn, (operand, *items), rank)
 
     def _in_subquery(self, expr: ast.InSubquery) -> Compiled:
         subquery = expr.subquery

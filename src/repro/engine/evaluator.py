@@ -48,7 +48,9 @@ class EvalEnv:  # concurrency: statement-scoped
 def evaluate(expr: ast.Expr, env: EvalEnv) -> object:
     """Evaluate a bound expression; predicates may return None (unknown)."""
     if isinstance(expr, ast.Literal):
-        return expr.value
+        if expr.slot is None:
+            return expr.value
+        return env.runtime.params[expr.slot]  # type: ignore[attr-defined]
     if isinstance(expr, BoundColumn):
         values = env.lookup(expr.alias)
         if values is None:

@@ -131,6 +131,7 @@ class Runtime:  # concurrency: statement-scoped
         exec_mode: str | None = None,
         workers: int | None = None,
         backend: str | None = None,
+        params: tuple = (),
     ):
         if subquery_cache_mode not in ("prev", "none", "memo"):
             raise ValueError(f"bad subquery_cache_mode {subquery_cache_mode!r}")
@@ -146,6 +147,9 @@ class Runtime:  # concurrency: statement-scoped
         self.storage = storage
         self.catalog = catalog
         self.planned = planned
+        #: The statement's parameter vector: every slotted literal of the
+        #: plan (and of its nested blocks) reads its value here.
+        self.params = params
         self.cache_mode = subquery_cache_mode
         self._scalar_cache: dict[int, object] = {}
         self._set_cache: dict[int, tuple[set, bool]] = {}
@@ -291,14 +295,15 @@ class Executor:  # concurrency: statement-scoped
         self._backend = resolve_backend(backend)
         self.last_runtime: Runtime | None = None
 
-    def execute(self, planned: PlannedStatement) -> QueryResult:
-        """Run a planned SELECT to completion."""
-        runtime = Runtime(
-            self._storage, self._catalog, planned, self._cache_mode,
-            exec_mode=self._exec_mode, workers=self._workers,
-            backend=self._backend,
-        )
-        self.last_runtime = runtime
+    def execute(
+        self, planned: PlannedStatement, params: tuple | None = None
+    ) -> QueryResult:
+        """Run a planned SELECT to completion.
+
+        ``params`` is the parameter vector to run with; None runs the
+        values the plan was made from (``planned.params``).
+        """
+        runtime = self._runtime(planned, params)
         ctx = _context_for(runtime, planned)
         if ctx.fused:
             from .fuse import output_tuples
@@ -311,14 +316,9 @@ class Executor:  # concurrency: statement-scoped
             ]
         return QueryResult(columns=list(planned.output_names), rows=rows)
 
-    def execute_rows(self, planned: PlannedStatement):
+    def execute_rows(self, planned: PlannedStatement, params: tuple | None = None):
         """Yield pre-projection rows (with TIDs) — used by UPDATE/DELETE."""
-        runtime = Runtime(
-            self._storage, self._catalog, planned, self._cache_mode,
-            exec_mode=self._exec_mode, workers=self._workers,
-            backend=self._backend,
-        )
-        self.last_runtime = runtime
+        runtime = self._runtime(planned, params)
         node = planned.root
         from ..optimizer.plan import DistinctNode, ProjectNode
 
@@ -326,3 +326,13 @@ class Executor:  # concurrency: statement-scoped
             node = node.child
         ctx = _context_for(runtime, planned)
         return iterate(node, ctx, outer=None)
+
+    def _runtime(self, planned: PlannedStatement, params: tuple | None) -> Runtime:
+        runtime = Runtime(
+            self._storage, self._catalog, planned, self._cache_mode,
+            exec_mode=self._exec_mode, workers=self._workers,
+            backend=self._backend,
+            params=planned.params if params is None else params,
+        )
+        self.last_runtime = runtime
+        return runtime

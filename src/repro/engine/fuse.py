@@ -61,6 +61,7 @@ from ..optimizer.plan import (
     ProjectNode,
     ScanNode,
     SortNode,
+    publish_compiled,
 )
 from .evaluator import EvalEnv
 from .operators import (
@@ -150,11 +151,11 @@ def _fused_program(node: PlanNode, ctx: ExecContext) -> BatchDriver:
     # the distinct cache key keeps the two engines from mixing.  Drivers
     # read ``ctx.workers`` at call time, so one cached parallel driver
     # serves any worker count.
-    cache = node.compiled
     key = "parallel" if ctx.parallel else "fused"
-    if key not in cache:
-        cache[key] = _build_fused(node, ctx)
-    return cache[key]
+    driver = node.compiled.get(key)
+    if driver is None:
+        driver = publish_compiled(node, key, _build_fused(node, ctx))
+    return driver
 
 
 def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
@@ -773,11 +774,11 @@ def _distinct_driver(node: DistinctNode, ctx: ExecContext) -> BatchDriver:
 
 
 def _output_program(node: PlanNode, ctx: ExecContext) -> BatchDriver:
-    cache = node.compiled
     key = "parallel_out" if ctx.parallel else "fused_out"
-    if key not in cache:
-        cache[key] = _build_output(node, ctx)
-    return cache[key]
+    driver = node.compiled.get(key)
+    if driver is None:
+        driver = publish_compiled(node, key, _build_output(node, ctx))
+    return driver
 
 
 def _build_output(node: PlanNode, ctx: ExecContext) -> BatchDriver:

@@ -43,6 +43,7 @@ from ..optimizer.plan import (
     ProjectNode,
     ScanNode,
     SortNode,
+    publish_compiled,
     walk_plan,
 )
 from ..rss.sargs import (
@@ -135,10 +136,10 @@ def iterate(
 def _program(node: PlanNode, ctx: ExecContext, build: Callable):
     """The node's compiled program for the context's execution mode."""
     key = "interp" if ctx.interpret else "compiled"
-    cache = node.compiled
-    if key not in cache:
-        cache[key] = build(node, ctx)
-    return cache[key]
+    program = node.compiled.get(key)
+    if program is None:
+        program = publish_compiled(node, key, build(node, ctx))
+    return program
 
 
 def _local_aliases(node: PlanNode) -> tuple[str, ...]:

@@ -66,7 +66,9 @@ class Binder:  # concurrency: statement-scoped
 
     def bind(self, query: ast.SelectQuery) -> BoundQueryBlock:
         """Bind a parsed SELECT into a BoundQueryBlock tree."""
-        return self._bind_block(query, outer_scopes=[])
+        block = self._bind_block(query, outer_scopes=[])
+        block.params = query.params
+        return block
 
     # -- block binding --------------------------------------------------------
 
@@ -98,6 +100,7 @@ class Binder:  # concurrency: statement-scoped
 
         select_exprs: list[ast.Expr] = []
         output_names: list[str] = []
+        literal_labels = False
         if query.is_star:
             for entry in tables:
                 for position, column in enumerate(entry.table.columns):
@@ -119,6 +122,9 @@ class Binder:  # concurrency: statement-scoped
                 )
                 select_exprs.append(bound)
                 output_names.append(item.alias or _default_name(item.expr))
+                literal_labels = literal_labels or (
+                    item.alias is None and _shows_literal(item.expr)
+                )
 
         having = (
             self._bind_expr(query.having, scopes, state, allow_aggregates=True)
@@ -143,6 +149,7 @@ class Binder:  # concurrency: statement-scoped
             aggregates=state.aggregates,
             correlated_columns=state.correlated_columns,
             subqueries=state.subqueries,
+            literal_labels=literal_labels,
         )
         self._check_aggregation_rules(block)
         return block
@@ -337,6 +344,21 @@ def _default_name(expr: ast.Expr) -> str:
     return str(expr)
 
 
+def _shows_literal(expr: ast.Expr) -> bool:
+    """Whether ``str(expr)`` shows a slotted literal's value."""
+    return any(
+        isinstance(node, ast.Literal) and node.slot is not None
+        for node in ast.walk_expr(expr)
+    )
+
+
+#: The type of a string literal.  Callers only ask whether a type is
+#: arithmetic or a string, so the length is nominal: a literal's type must
+#: follow from its token type alone, never from its value, or one plan
+#: could not serve every statement of a shape.
+_STRING_LITERAL = DataType(TypeKind.VARCHAR, 1)
+
+
 def _expr_type(expr: ast.Expr) -> DataType | None:
     """Static type of a bound expression; None when undeterminable."""
     if isinstance(expr, BoundColumn):
@@ -348,7 +370,7 @@ def _expr_type(expr: ast.Expr) -> DataType | None:
             return INTEGER
         if isinstance(expr.value, float):
             return FLOAT
-        return DataType(TypeKind.VARCHAR, max(1, len(str(expr.value))))
+        return _STRING_LITERAL
     if isinstance(expr, (ast.BinaryOp, ast.Negate)):
         return FLOAT
     if isinstance(expr, AggregateRef):

@@ -101,6 +101,11 @@ class BoundQueryBlock:  # concurrency: statement-scoped
     aggregates: list[ast.FuncCall] = field(default_factory=list)
     correlated_columns: list[BoundColumn] = field(default_factory=list)
     subqueries: list[BoundSubquery] = field(default_factory=list)
+    #: The statement's parameter vector (outermost block only).
+    params: tuple = ()
+    #: Whether an output column's default name shows a literal's value
+    #: (``SELECT A + 1`` is labelled ``(A + 1)``).
+    literal_labels: bool = False
 
     @property
     def is_correlated(self) -> bool:

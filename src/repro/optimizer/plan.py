@@ -8,6 +8,7 @@ output cardinality, and the physical order of the rows it produces.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -32,7 +33,9 @@ class PlanNode:
     #: claim before granting residency to a new inner.
     buffer_claim: float = field(default=2.0, kw_only=True)
     #: Per-execution-mode compiled artifacts (closure programs) attached by
-    #: the engine on first execution; never part of plan identity.
+    #: the engine on first execution; never part of plan identity.  A
+    #: cached plan runs on several sessions' threads at once, so entries
+    #: are only ever added through :func:`publish_compiled`.
     compiled: dict = field(
         default_factory=dict, kw_only=True, compare=False, repr=False
     )
@@ -296,8 +299,40 @@ def walk_plan(node: PlanNode) -> Iterator[PlanNode]:
         yield from walk_plan(child)
 
 
-def render_plan(node: PlanNode, indent: int = 0, w: float | None = None) -> str:
-    """Multi-line, indented plan rendering (used by EXPLAIN)."""
+#: Serializes additions to any node's ``compiled`` memo.
+_compiled_lock = threading.Lock()
+
+
+def publish_compiled(node: PlanNode, key: str, artifact: object) -> object:
+    """Add ``artifact`` as the node's compiled ``key``; return the winner.
+
+    Artifacts are built outside the lock.  When two threads build the
+    same key, the first one published is kept and the other is dropped,
+    so every execution of the plan reads one artifact per key, and a
+    published entry never changes.
+    """
+    with _compiled_lock:
+        return node.compiled.setdefault(key, artifact)
+
+
+def render_plan(
+    node: PlanNode,
+    indent: int = 0,
+    w: float | None = None,
+    params: tuple | None = None,
+) -> str:
+    """Multi-line, indented plan rendering (used by EXPLAIN).
+
+    ``params`` shows the plan's literals with a statement's parameter
+    vector, for a cached plan explained on behalf of another statement of
+    its shape; None shows the values the plan was made from.
+    """
+    if params is not None:
+        token = ast.RENDER_PARAMS.set(params)
+        try:
+            return render_plan(node, indent, w)
+        finally:
+            ast.RENDER_PARAMS.reset(token)
     pad = "  " * indent
     suffix = f"  [rows~{node.rows:.1f}"
     if w is not None:

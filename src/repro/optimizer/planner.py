@@ -82,6 +82,12 @@ class PlannedStatement:
     #: Weighted cost of nested-block evaluations (uncorrelated blocks once,
     #: correlated blocks per candidate tuple under the chosen order).
     nested_eval_total: float = 0.0
+    #: The parameter vector of the statement the plan was made from.
+    params: tuple = ()
+    #: Whether the plan shows a literal's value (set by ``plan_query``):
+    #: an estimate interpolated one, or an output label spells one out.
+    #: Such a plan is right for these values only.
+    value_dependent: bool = False
 
     @property
     def estimated_cost(self) -> Cost:
@@ -124,7 +130,10 @@ class Optimizer:
         self._correlation_ordering = correlation_ordering
         #: None defers to the REPRO_CHECK environment flag at plan time.
         self.verify_plans = verify_plans
-        self._estimator = SelectivityEstimator(catalog)
+        # plan_query resets the estimator's read_literal_values flag, so
+        # the estimator serves one planning at a time, like the optimizer
+        # (Database builds one of each per statement).
+        self._estimator = SelectivityEstimator(catalog)  # concurrency: statement-scoped
         self._cost_model = CostModel(catalog, w, buffer_pages)
 
     @property
@@ -153,8 +162,12 @@ class Optimizer:
 
     def plan_query(self, query: ast.SelectQuery) -> PlannedStatement:
         """Bind and plan a parsed SELECT statement."""
+        self._estimator.read_literal_values = False
         block = Binder(self._catalog).bind(query)
         planned = self.plan_block(block)
+        planned.value_dependent = (
+            self._estimator.read_literal_values or block.literal_labels
+        )
         if self.verification_enabled():
             # Imported lazily: the analysis package imports the optimizer.
             from ..analysis.plan_check import verify_planned
@@ -215,6 +228,7 @@ class Optimizer:
             factors=factors,
             subquery_plans=subquery_plans,
             nested_eval_total=uncorrelated_total + correlation_total,
+            params=block.params,
         )
         return planned
 
@@ -276,6 +290,7 @@ class Optimizer:
             w=self.w,
             qcard=self._estimator.block_qcard(block, factors),
             factors=factors,
+            params=block.params,
         )
         planned.subquery_plans = self._plan_subqueries(block)
         return planned

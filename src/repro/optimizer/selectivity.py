@@ -36,11 +36,18 @@ class SelectivityEstimator:
     is stamped with :attr:`Catalog.version` and dropped wholesale when the
     catalog changes, so ``UPDATE STATISTICS`` (or any DDL) is visible to
     the very next estimate even on a long-lived estimator.
+
+    :attr:`read_literal_values` turns true when an estimate interpolates
+    a literal's value into a column's key range.  That is the only place
+    an estimate reads a value rather than a statistic, and a plan built
+    on such an estimate must not serve other values from the statement
+    cache.
     """
 
     def __init__(self, catalog: Catalog):
         self._catalog = catalog
         self._version = catalog.version
+        self.read_literal_values = False  # concurrency: statement-scoped
         # id() keys hold the keyed object in the value, pinning it alive
         # so the id cannot be recycled while the cache entry exists.
         self._factor_cache: dict[int, tuple[BooleanFactor, float]] = {}
@@ -182,6 +189,7 @@ class SelectivityEstimator:
             and column.datatype.is_arithmetic
             and key_range is not None
         ):
+            self.read_literal_values = True
             low, high = key_range
             if high <= low:
                 return DEFAULT_RANGE
@@ -204,6 +212,7 @@ class SelectivityEstimator:
         ):
             key_range = self._key_range(column)
             if key_range is not None:
+                self.read_literal_values = True
                 low, high = key_range
                 if high > low:
                     fraction = (high_value - low_value) / (high - low)

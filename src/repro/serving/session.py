@@ -28,7 +28,7 @@ from ..rss.buffer import BufferPool
 from ..rss.scan import DEFAULT_BATCH_SIZE, IndexScan, SegmentScan
 from ..rss.segment import Segment
 from ..rss.storage import CommittedMeta, ScanSnapshot, StorageEngine
-from ..sql import ast, parse_statement
+from ..sql import LexedStatement, ast, lex_statement
 
 
 class _SnapshotPages:
@@ -203,13 +203,17 @@ class Session:
         self._closed = False
 
     def execute(self, sql: str):
-        """Parse and execute one SQL statement in this session."""
-        return self.execute_statement(parse_statement(sql))
+        """Execute one SQL statement in this session.
+
+        The statement goes through the database's statement cache, which
+        all sessions share.
+        """
+        self._check_open()
+        return self._db._execute_lexed(lex_statement(sql), self)
 
     def execute_statement(self, statement: ast.Statement):
         """Execute an already-parsed statement in this session."""
-        if self._closed:
-            raise StorageError(f"session {self.name!r} is closed")
+        self._check_open()
         if isinstance(statement, ast.SelectQuery):
             return self._read(statement)
         return self._db._execute_write(statement)
@@ -218,7 +222,16 @@ class Session:
         """Alias of :meth:`execute` for read statements."""
         return self.execute(sql)
 
-    def _read(self, statement: ast.SelectQuery):
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageError(f"session {self.name!r} is closed")
+
+    def _read(self, source: LexedStatement | ast.SelectQuery):
+        """Run a SELECT against a snapshot pinned at its start.
+
+        A lexed statement uses (or fills) the statement cache; a parsed
+        one is planned afresh.
+        """
         from ..database import StatementResult
 
         db = self._db
@@ -226,9 +239,9 @@ class Session:
         # stable for the whole statement; DML proceeds concurrently — page
         # stability comes from the pin, not the latch.
         with db.ddl_latch.shared():
+            prepared, params, cached = db._prepare(source)
             version, meta = db.storage.pin_snapshot()
             try:
-                planned = db.plan_query(statement)
                 executor = Executor(
                     SnapshotStorage(db.storage, version, meta),
                     db.catalog,
@@ -236,7 +249,7 @@ class Session:
                     exec_mode=db.exec_mode,
                     workers=db.workers,
                 )
-                result = executor.execute(planned)
+                result = executor.execute(prepared.plan, params)
             finally:
                 db.storage.unpin(version)
         return StatementResult(
@@ -245,6 +258,7 @@ class Session:
             rows=result.rows,
             affected_rows=len(result.rows),
             snapshot_version=version,
+            plan_cached=cached,
         )
 
     def close(self) -> None:

@@ -9,15 +9,19 @@ UPDATE STATISTICS command).
 """
 
 from . import ast
-from .lexer import Lexer, Token, TokenType, tokenize
-from .parser import Parser, parse_statement
+from .lexer import LexedStatement, Lexer, Token, TokenType, lex_statement, tokenize
+from .parser import Parser, parse_lexed, parse_statement, slot_values
 
 __all__ = [
+    "LexedStatement",
     "Lexer",
     "Parser",
     "Token",
     "TokenType",
     "ast",
+    "lex_statement",
+    "parse_lexed",
     "parse_statement",
+    "slot_values",
     "tokenize",
 ]

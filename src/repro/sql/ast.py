@@ -5,11 +5,17 @@ Expression nodes are plain dataclasses.  A parsed query is a
 list, and a WHERE tree.  Subqueries embed further :class:`SelectQuery`
 instances inside predicate nodes, which is how a single SQL statement comes
 to contain multiple query blocks.
+
+Literals parsed from text carry a parameter *slot*.  A statement's values
+travel separately as its parameter vector (``params``), and execution
+reads a literal through its slot, so one plan serves every statement of
+the same shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 
 from ..datatypes import DataType
 from ..rss.sargs import CompareOp
@@ -28,18 +34,36 @@ class Expr:
     __slots__ = ()
 
 
+#: The parameter vector ``str()`` shows slotted literals with, while a
+#: cached plan is rendered for a statement other than the one it was
+#: parsed from (see :func:`repro.optimizer.plan.render_plan`).
+RENDER_PARAMS: ContextVar[tuple | None] = ContextVar("RENDER_PARAMS", default=None)
+
+
 @dataclass(frozen=True)
 class Literal(Expr):
-    """A constant value (NULL included)."""
+    """A constant value (NULL included).
+
+    ``value`` is the value the literal was parsed with.  ``slot`` is its
+    index in the statement's parameter vector; it is None for the NULL
+    keyword and for literals built by hand, which always mean ``value``.
+    """
+
     value: object
+    slot: int | None = None
 
     def __str__(self) -> str:
-        if isinstance(self.value, str):
-            escaped = self.value.replace("'", "''")
+        value = self.value
+        if self.slot is not None:
+            shown = RENDER_PARAMS.get()
+            if shown is not None:
+                value = shown[self.slot]
+        if isinstance(value, str):
+            escaped = value.replace("'", "''")
             return f"'{escaped}'"
-        if self.value is None:
+        if value is None:
             return "NULL"
-        return str(self.value)
+        return str(value)
 
 
 @dataclass(frozen=True)
@@ -247,6 +271,9 @@ class SelectQuery:
     having: Expr | None = None
     order_by: tuple[OrderItem, ...] = ()
     distinct: bool = False
+    #: The statement's parameter vector (top-level statements only; a
+    #: nested block's literals index into the enclosing statement's).
+    params: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_star(self) -> bool:
@@ -286,6 +313,7 @@ class InsertStmt:
     rows: tuple[tuple[Expr, ...], ...] = ()
     #: INSERT INTO t SELECT ... (mutually exclusive with rows)
     source: "SelectQuery | None" = None
+    params: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -294,6 +322,7 @@ class UpdateStmt:
     table_name: str
     assignments: tuple[tuple[str, Expr], ...]
     where: Expr | None = None
+    params: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -301,6 +330,7 @@ class DeleteStmt:
     """DELETE FROM ... [WHERE ...]."""
     table_name: str
     where: Expr | None = None
+    params: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -347,6 +377,10 @@ class UpdateStatisticsStmt:
     """UPDATE STATISTICS [table]."""
     table_name: str | None = None  # None: all tables
 
+
+#: The statements whose literals are parameters: the ones the statement
+#: cache holds.
+ParameterizedStatement = SelectQuery | InsertStmt | UpdateStmt | DeleteStmt
 
 Statement = (
     SelectQuery

@@ -18,15 +18,24 @@ Grammar sketch (keywords case-insensitive)::
     unary        := '-' unary | primary
     primary      := literal | NULL | func '(' [DISTINCT] (expr|'*') ')'
                   | colref | '(' (subquery | expr) ')'
+
+The parser reads the token list :func:`~repro.sql.lexer.lex_statement`
+made, so a statement is lexed once for both the statement cache and the
+parse.  Each literal keeps its token's slot, and the statement's
+``params`` holds the values by slot.  Unary minus folded into a numeric
+literal negates that slot's value; :attr:`Parser.negated_slots` records
+which slots, so a cache hit can build the same vector from the tokens.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from ..datatypes import DataType, TypeKind
 from ..errors import ParseError
 from ..rss.sargs import CompareOp
 from . import ast
-from .lexer import Token, TokenType, tokenize
+from .lexer import LexedStatement, Token, TokenType, lex_statement
 
 _COMPARE_OPS = {
     "=": CompareOp.EQ,
@@ -39,11 +48,19 @@ _COMPARE_OPS = {
 
 
 class Parser:  # concurrency: statement-scoped
-    """Parses one SQL statement from text."""
+    """Parses one SQL statement from text or from its lexed tokens."""
 
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
+    def __init__(self, source: str | LexedStatement):
+        lexed = source if isinstance(source, LexedStatement) else lex_statement(source)
+        self._tokens = lexed.tokens
         self._position = 0
+        self._params = list(lexed.values)
+        self._negated: set[int] = set()
+
+    @property
+    def negated_slots(self) -> frozenset[int]:
+        """Slots whose value is the negation of their token's value."""
+        return frozenset(self._negated)
 
     # -- token plumbing -------------------------------------------------------
 
@@ -105,6 +122,11 @@ class Parser:  # concurrency: statement-scoped
             raise ParseError(f"unexpected start of statement: {token}")
         if self._peek().type is not TokenType.EOF:
             raise ParseError(f"trailing input after statement: {self._peek()}")
+        if isinstance(
+            statement,
+            (ast.SelectQuery, ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt),
+        ):
+            statement = replace(statement, params=tuple(self._params))
         return statement
 
     def _select(self) -> ast.SelectQuery:
@@ -381,7 +403,11 @@ class Parser:  # concurrency: statement-scoped
             if isinstance(operand, ast.Literal) and isinstance(
                 operand.value, (int, float)
             ):
-                return ast.Literal(-operand.value)
+                slot = operand.slot
+                if slot is not None:
+                    self._params[slot] = -operand.value
+                    self._negated ^= {slot}
+                return ast.Literal(-operand.value, slot)
             return ast.Negate(operand)
         return self._primary()
 
@@ -389,7 +415,7 @@ class Parser:  # concurrency: statement-scoped
         token = self._peek()
         if token.type in (TokenType.INTEGER, TokenType.FLOAT, TokenType.STRING):
             self._advance()
-            return ast.Literal(token.value)
+            return ast.Literal(token.value, token.slot)
         if token.matches_keyword("NULL"):
             self._advance()
             return ast.Literal(None)
@@ -439,3 +465,22 @@ class Parser:  # concurrency: statement-scoped
 def parse_statement(text: str) -> ast.Statement:
     """Parse one SQL statement; raises :class:`~repro.errors.ParseError`."""
     return Parser(text).parse_statement()
+
+
+def parse_lexed(lexed: LexedStatement) -> tuple[ast.Statement, frozenset[int]]:
+    """Parse a lexed statement; also return its negated slots."""
+    parser = Parser(lexed)
+    return parser.parse_statement(), parser.negated_slots
+
+
+def slot_values(values: tuple, negated: frozenset[int]) -> tuple:
+    """A statement's parameter vector from its tokens' literal values.
+
+    ``negated`` comes from parsing a statement of the same shape: the
+    parse of a shape decides which literals a unary minus folds into.
+    """
+    if not negated:
+        return values
+    return tuple(
+        -value if slot in negated else value for slot, value in enumerate(values)
+    )

@@ -1,10 +1,13 @@
 """Tests for the interactive SQL shell."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import Shell, format_table
+from repro.cli import Shell, format_table, main
 
 
 def run_shell(lines, db=None):
@@ -122,3 +125,60 @@ class TestMetaCommands:
     def test_input_file_missing(self):
         __, output = run_shell(["\\i /no/such/file.sql"])
         assert "error:" in output
+
+
+class TestMain:
+    """``python -m repro`` argument handling: usage, never a traceback."""
+
+    def test_help_prints_usage_and_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: python -m repro")
+        for subcommand in ("check", "bench", "stress"):
+            assert subcommand in out
+
+    def test_unknown_flag_exits_two_with_usage(self, capsys):
+        assert main(["--frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro")
+        assert "unrecognized arguments: --frobnicate" in err
+
+    def test_db_without_path_is_a_usage_error(self, capsys):
+        assert main(["--db"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_missing_script_is_a_one_line_error(self, capsys, tmp_path):
+        missing = tmp_path / "nope.sql"
+        assert main([str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "nope.sql" in lines[0] and "No such file" in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_scripts_run_before_the_prompt(self, capsys, tmp_path, monkeypatch):
+        script = tmp_path / "setup.sql"
+        script.write_text("CREATE TABLE T (A INTEGER);\nINSERT INTO T VALUES (7);\n")
+        query = tmp_path / "query.sql"
+        query.write_text("SELECT A FROM T;\n")
+        monkeypatch.setattr("builtins.input", _eof)
+        assert main([str(script), str(query)]) == 0
+        out = capsys.readouterr().out
+        assert "INSERT: 1 row(s)" in out and "(1 row(s))" in out
+
+    def test_module_entry_point_help(self):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+        assert completed.returncode == 0
+        assert completed.stdout.startswith("usage:")
+        assert completed.stderr == ""
+
+
+def _eof(prompt: str = "") -> str:
+    raise EOFError

@@ -86,8 +86,9 @@ class TestWhere:
         query = parse_select("SELECT * FROM T WHERE A BETWEEN 1 AND 10")
         where = query.where
         assert isinstance(where, ast.Between)
-        assert where.low == ast.Literal(1)
-        assert where.high == ast.Literal(10)
+        assert where.low == ast.Literal(1, 0)
+        assert where.high == ast.Literal(10, 1)
+        assert query.params == (1, 10)
 
     def test_not_between(self):
         query = parse_select("SELECT * FROM T WHERE A NOT BETWEEN 1 AND 10")
@@ -133,7 +134,8 @@ class TestWhere:
 
     def test_unary_minus_folds_literals(self):
         query = parse_select("SELECT * FROM T WHERE A = -5")
-        assert query.where.right == ast.Literal(-5)
+        assert query.where.right == ast.Literal(-5, 0)
+        assert query.params == (-5,)
 
 
 class TestSubqueries:
