@@ -13,12 +13,12 @@ Eight sub-checks, all on by default:
 - ``--storage`` audits the storage invariants (index/tuple agreement, page
   reachability, checksums) over in-memory, durable, torn-page, and
   crash/recover scenarios.
-- ``--fusion`` executes the workload corpus (plus a dedicated hash-join
-  corpus) under every engine mode — interpreted, compiled, fused, and
-  parallel — on identically-built databases, asserting the *ordered* row
-  sequences, cost counters, and subquery evaluation cadence are
-  bit-identical — fused chains must preserve every declared output
-  order, not just row sets.
+- ``--fusion`` executes the workload corpus (plus dedicated hash-join and
+  segment-inner nested-loop corpora) under every engine mode —
+  interpreted, compiled, fused, and parallel — on identically-built
+  databases, asserting the *ordered* row sequences, cost counters, and
+  subquery evaluation cadence are bit-identical — fused chains must
+  preserve every declared output order, not just row sets.
 - ``--effects`` infers per-function effect signatures over the whole
   program (:mod:`repro.analysis.effects`) and enforces the effect rules:
   planning layers (``optimizer/``, ``sql/``, ``catalog/``) perform no
@@ -429,6 +429,83 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
     ]
 
 
+#: ``describe_chains`` labels of the two nested-loop probe paths.
+BUCKETED = "bucketed probe"
+PER_PROBE_SCAN = "inlined inner scan"
+
+
+def nested_loop_corpus() -> tuple[Database, list[tuple[str, str]]]:
+    """Segment-inner nested-loop joins over the bucketed probe's edge cases.
+
+    ``T`` (300 rows) and ``U`` (40 rows) share join columns with NULLs and
+    duplicates on both sides, a FLOAT pair holding NaN on both sides (the
+    scan's ``=`` matches NaN against everything, a hash lookup against
+    nothing), and VARCHAR keys.  Each query is paired with the probe path
+    its plan must take, so the corpus cannot silently stop exercising
+    the bucketed probe or its per-probe-scan fallback.
+    """
+    from ..workloads.empdept import load_rows
+
+    db = Database()
+    db.execute("CREATE TABLE T (A INTEGER, B INTEGER, C FLOAT, S VARCHAR(8))")
+    db.execute("CREATE TABLE U (X INTEGER, Y INTEGER, Z FLOAT, W VARCHAR(8))")
+    load_rows(
+        db,
+        "T",
+        [
+            (None if i % 11 == 0 else i % 7, i % 5, float(i % 3), f"s{i % 4}")
+            for i in range(300)
+        ],
+    )
+    load_rows(
+        db,
+        "U",
+        [
+            (None if j % 13 == 0 else j % 9, j % 4, float(j % 3), f"s{j % 3}")
+            for j in range(40)
+        ],
+    )
+    # NaN cannot be written as a literal: inf - inf makes one per side.
+    infinity = "9" * 400 + ".0"
+    db.execute(f"UPDATE T SET C = {infinity} WHERE B = 4 AND A = 2")
+    db.execute("UPDATE T SET C = C - C WHERE B = 4 AND A = 2")
+    db.execute(f"UPDATE U SET Z = {infinity} WHERE Y = 3 AND X = 7")
+    db.execute("UPDATE U SET Z = Z - Z WHERE Y = 3 AND X = 7")
+    db.execute("UPDATE STATISTICS")
+    queries = [
+        # NULL and duplicate keys on both sides
+        ("SELECT T.A, T.B, U.Y FROM T, U WHERE T.A = U.X", BUCKETED),
+        # a two-column key
+        ("SELECT T.A, U.Y FROM T, U WHERE T.A = U.X AND T.B = U.Y", BUCKETED),
+        # a non-equality SARG left over, an inner and a join residual
+        (
+            "SELECT T.A, U.Y FROM T, U WHERE T.A = U.X AND T.B > U.Y "
+            "AND U.Y * 2 > 1 AND T.B * 2 > 3 AND U.Y + T.B > 2",
+            BUCKETED,
+        ),
+        # an empty outer
+        ("SELECT T.A, U.Y FROM T, U WHERE T.A = U.X AND U.Y > 50", BUCKETED),
+        # FLOAT keys with NaN on both sides (selected columns stay NaN-free:
+        # NaN rows never compare equal)
+        ("SELECT T.A, U.X, U.Y FROM T, U WHERE T.C = U.Z", BUCKETED),
+        # a NaN probe value against a NaN-free INTEGER inner
+        ("SELECT T.A, U.X, U.Y FROM T, U WHERE T.B = U.Z", BUCKETED),
+        # VARCHAR keys, output order declared
+        (
+            "SELECT T.S, U.W, U.Y FROM T, U WHERE T.S = U.W AND T.B = 1 "
+            "ORDER BY U.Y",
+            BUCKETED,
+        ),
+        # a correlated subquery in the join residual: per-probe scans
+        (
+            "SELECT T.A, U.Y FROM T, U WHERE T.A = U.X AND U.Y + T.B <= "
+            "(SELECT COUNT(*) FROM T T2 WHERE T2.B = U.Y AND T2.A = 3)",
+            PER_PROBE_SCAN,
+        ),
+    ]
+    return db, queries
+
+
 def check_fusion(
     queries: int = 40, seed: int = 662607, echo: Callable[[str], None] = print
 ) -> list[Violation]:
@@ -483,6 +560,26 @@ def check_fusion(
                 )
     echo(
         f"  hashjoin: {hashed_queries} queries: interp vs "
+        f"compiled/fused/parallel({workers})"
+    )
+    from ..engine.fuse import describe_chains
+
+    db, probes = nested_loop_corpus()
+    for sql, path in probes:
+        audited, hashed = _audit_fused_query(db, sql, violations, workers=workers)
+        chains += audited
+        hash_joins += hashed
+        if not any(path in chain for chain in describe_chains(db.plan(sql).root)):
+            violations.append(
+                Violation(
+                    "nested-loop-corpus-miss",
+                    f"fusion [query: {sql}]",
+                    f"planned without a nested-loop join taking the {path} "
+                    "path — the corpus no longer exercises it",
+                )
+            )
+    echo(
+        f"  nested-loop: {len(probes)} queries: interp vs "
         f"compiled/fused/parallel({workers})"
     )
     echo(

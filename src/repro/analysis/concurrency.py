@@ -36,7 +36,8 @@ Unguarded state is a violation unless the committed baseline
 a reviewed ratchet — existing known state is listed with a justification,
 and any *new* unguarded shared state fails ``repro check --concurrency``.
 State whose mutation sites are reachable from the parallel paths (the
-fused drivers of ``engine/fuse.py``, the compiled closures of
+fused drivers of ``engine/fuse.py`` and their bucketed probes in
+``engine/probe.py``, the compiled closures of
 ``engine/compile.py``, the worker tasks and gather drivers of
 ``engine/parallel.py``, ``batches()`` in ``rss/scan.py``) is flagged
 ``parallel: yes`` — that subset is the worklist parallel execution must
@@ -78,6 +79,7 @@ PARALLEL_ROOT_MODULES = (
     "engine/fuse.py",
     "engine/compile.py",
     "engine/parallel.py",
+    "engine/probe.py",
     "engine/scheduler.py",
 )
 PARALLEL_ROOT_FUNCTIONS = (

@@ -31,11 +31,15 @@ them directly on the parsed source:
   SARG matchers, and decode plans once per plan/scan open; per-tuple
   loops must run only the compiled artifacts.  Inside ``for``/``while``
   bodies of ``engine/operators.py``, ``engine/fuse.py``,
-  ``engine/temp.py``, ``engine/external_sort.py``, and
-  ``rss/scan.py`` there may be no call to ``evaluate`` /
+  ``engine/probe.py``, ``engine/temp.py``, ``engine/external_sort.py``,
+  and ``rss/scan.py`` there may be no call to ``evaluate`` /
   ``predicate_holds`` / ``decode_tuple``, no ``EvalEnv`` construction,
   and no ``isinstance`` dispatch (``assert`` statements are exempt —
-  they exist for type narrowing).  Hash-join build and probe loops obey
+  they exist for type narrowing).  The loops of ``engine/temp.py``,
+  ``engine/external_sort.py`` and ``engine/fuse.py`` may not call
+  ``encode_tuple``, ``Page.insert`` or ``Page.can_fit`` either: temp
+  rows are written through a compiled ``EncodePlan`` and an append-only
+  ``PageWriter``.  Hash-join build and probe loops obey
   the same discipline: ``build_hash_table`` may never run inside a loop
   (the build side is bucketed once per statement and shared across
   batches and probe workers).  Fused drivers additionally may not
@@ -408,6 +412,7 @@ _EXECUTOR_HOT_PATH_MODULES = frozenset(
         "engine/operators.py",
         "engine/fuse.py",
         "engine/parallel.py",
+        "engine/probe.py",
         "engine/scheduler.py",
         "engine/temp.py",
         "engine/external_sort.py",
@@ -417,6 +422,15 @@ _EXECUTOR_HOT_PATH_MODULES = frozenset(
 
 #: Interpreter entry points that must only run at compile/open time.
 _HOT_PATH_BANNED_CALLS = frozenset({"evaluate", "predicate_holds", "decode_tuple"})
+
+#: Row-at-a-time page writes banned from the loops of the modules that
+#: write temporary lists: rows go through a compiled ``EncodePlan`` into an
+#: append-only ``PageWriter``, never the reference encoder or a slotted
+#: insert that rescans the slot directory for every row.
+_PAGE_WRITE_BANNED_CALLS = frozenset({"encode_tuple", "insert", "can_fit"})
+_PAGE_WRITE_MODULES = frozenset(
+    {"engine/temp.py", "engine/external_sort.py", "engine/fuse.py"}
+)
 
 #: Per-tuple generator entry points a fused driver loop must never call:
 #: fusion exists to eliminate the per-tuple frame hand-off, so a chain
@@ -490,6 +504,20 @@ def _check_executor_hot_path(
                             f"{relative}:{node.lineno}",
                             "isinstance dispatch inside a per-tuple loop; "
                             "resolve the variant at compile/open time",
+                        )
+                    )
+                elif (
+                    relative in _PAGE_WRITE_MODULES
+                    and name in _PAGE_WRITE_BANNED_CALLS
+                ):
+                    flagged.add(node.lineno)
+                    violations.append(
+                        Violation(
+                            "executor-hot-path",
+                            f"{relative}:{node.lineno}",
+                            f"per-row page write {name!r} inside a loop; "
+                            "encode through a compiled EncodePlan and append "
+                            "with a PageWriter",
                         )
                     )
                 elif name == "build_hash_table":

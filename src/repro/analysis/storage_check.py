@@ -11,7 +11,8 @@ these hold after *every* statement, faulted or not):
   equality, so duplicates count);
 - index keys are in order, entry counts agree, unique indexes hold no
   duplicate non-NULL keys;
-- no non-scratch page is unreachable from the segments and indexes;
+- no non-scratch page is unreachable from the segments and indexes, and
+  no scratch page (sort run, temporary list) outlives its statement;
 - with a backing file: page checksums verify, the committed page set
   matches the in-memory page set, and the frame free list is sound.
 
@@ -104,9 +105,20 @@ def verify_storage(db: "Database") -> list[Violation]:
             except StorageError:
                 pass  # already reported as index-missing
 
-    # -- reachability: no orphaned non-scratch pages ------------------------
+    # -- reachability: no orphaned pages, no leaked scratch -----------------
     for page_id in store.page_ids():
-        if page_id in referenced or store.is_temp(page_id):
+        if page_id in referenced:
+            continue
+        if store.is_temp(page_id):
+            violations.append(
+                Violation(
+                    "temp-page-leaked",
+                    f"page {page_id}",
+                    "scratch page still registered between statements; "
+                    "every sort run and temporary list is dropped when "
+                    "its statement ends",
+                )
+            )
             continue
         violations.append(
             Violation(

@@ -20,8 +20,10 @@ Pipeline breakers terminate chains and couple them batch-at-a-time:
   inner side tuple-at-a-time: the inner may be abandoned early, and
   batch-granular RSI accounting would charge tuples the reference engine
   never pulled (see :func:`_lazy_rows`).
-- **Nested-loop join** re-opens its inner scan per outer row, with the
-  inner's batch loop inlined into the driver.
+- **Nested-loop join** answers each probe from buckets of its inner
+  relation, hashed once per statement, when the inner is a segment scan
+  with an equality probe SARG; otherwise it re-opens its inner scan per
+  outer row, with the inner's batch loop inlined into the driver.
 - **Subquery-effect barriers** need no special casing: subquery-bearing
   factors are never reordered by :mod:`repro.engine.compile`, and fused
   drivers reuse the *same* compiled conjunction closures as the reference
@@ -180,12 +182,6 @@ def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
         source = _fused_program(bottom, ctx)
         return _row_chain_driver(source, preds, fns)
     if isinstance(node, NestedLoopJoinNode):
-        if ctx.parallel:
-            from .parallel import parallel_nested_loop_driver
-
-            driver = parallel_nested_loop_driver(node, ctx)
-            if driver is not None:
-                return driver
         return _nested_loop_driver(node, ctx)
     if isinstance(node, MergeJoinNode):
         return _merge_join_driver(node, ctx)
@@ -465,9 +461,12 @@ def _row_chain_driver(
 
 
 def _nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext) -> BatchDriver:
-    """Nested loops with the inner scan's batch loop inlined.
+    """Nested loops with the inner access inlined into the driver.
 
-    Per outer row the inner access re-opens (probe SARGs and index bounds
+    When the inner is a segment scan with an all-equality probe SARG (see
+    :func:`repro.engine.probe.bucketable`), each probe is a bucket lookup
+    over the inner relation hashed once per statement.  Otherwise
+    the inner access re-opens per outer row (probe SARGs and index bounds
     re-evaluate against the outer row) and is always fully consumed, so
     batch-at-a-time RSI charging is exact.
     """
@@ -477,9 +476,16 @@ def _nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext) -> BatchDriv
     inner_alias = inner.alias
     inner_test = inner_program.residual
     outer_source = _fused_program(node.outer, ctx)
+    # Imported here: statements without a nested-loop join never load it.
+    from .probe import BucketProbe, bucketable
+
+    bucketed = None
+    if bucketable(node):
+        bucketed = BucketProbe(node, inner_program)
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
         count_rsi = ctx.storage.counters.count_rsi_call
+        buffer = ctx.storage.buffer
         # One probe environment re-points at each outer row in turn; the
         # inner residual environment chains through it for correlation.
         probe_env = ctx.env(Row(), outer)
@@ -489,37 +495,52 @@ def _nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext) -> BatchDriv
         # this statement; fetches and counters are probe-exact (the cache
         # dies with the driver call, before any tuple can change).
         decode_cache: dict = {}
+        # (inner page ids, buckets) — built at the first probe, so an
+        # empty outer never hashes the inner relation.
+        state = None
+
+        def join(outer_row: Row, matches, append) -> None:
+            outer_values = outer_row.values
+            outer_tids = outer_row.tids
+            for tid, values in matches:
+                if inner_test is not None:
+                    inner_env.row = Row(
+                        values={inner_alias: values}, tids={inner_alias: tid}
+                    )
+                    if not inner_test(inner_env):
+                        continue
+                merged = Row(
+                    values={**outer_values, inner_alias: values},
+                    tids={**outer_tids, inner_alias: tid},
+                )
+                if residual is not None:
+                    join_env.row = merged
+                    if not residual(join_env):
+                        continue
+                append(merged)
+
         for outer_batch in outer_source(ctx, outer):
-            out = []
+            out: list[Row] = []
             append = out.append
             for outer_row in outer_batch:
                 probe_env.row = outer_row
-                scan = open_scan(
-                    inner, inner_program, ctx, probe_env, decode_cache
-                )
+                if bucketed is not None:
+                    if state is None:
+                        state = bucketed.build(ctx)
+                    page_ids, buckets = state
+                    matches = bucketed.lookup(buckets, probe_env)
+                    if matches is not None:
+                        # Replay the fetches the per-probe scan would make.
+                        buffer.note_fetches(page_ids)
+                        count_rsi(len(matches))
+                        join(outer_row, matches, append)
+                        continue
+                scan = open_scan(inner, inner_program, ctx, probe_env, decode_cache)
                 if scan is None:
                     continue
-                outer_values = outer_row.values
-                outer_tids = outer_row.tids
                 for batch in scan.batches():
                     count_rsi(len(batch))
-                    for tid, values in batch:
-                        if inner_test is not None:
-                            inner_env.row = Row(
-                                values={inner_alias: values},
-                                tids={inner_alias: tid},
-                            )
-                            if not inner_test(inner_env):
-                                continue
-                        merged = Row(
-                            values={**outer_values, inner_alias: values},
-                            tids={**outer_tids, inner_alias: tid},
-                        )
-                        if residual is not None:
-                            join_env.row = merged
-                            if not residual(join_env):
-                                continue
-                        append(merged)
+                    join(outer_row, batch, append)
             if out:
                 yield out
 
@@ -985,9 +1006,10 @@ def _collect_chains(node: PlanNode, chains: list[str]) -> None:
             _collect_chains(node.inner.child, chains)
         return
     if isinstance(node, NestedLoopJoinNode):
-        chains.append(
-            f"nested-loop join (inlined inner scan {node.inner.alias})"
-        )
+        from .probe import bucketable
+
+        probe = "bucketed probe" if bucketable(node) else "inlined inner scan"
+        chains.append(f"nested-loop join ({probe} {node.inner.alias})")
         _collect_chains(node.outer, chains)
         return
     if isinstance(node, HashJoinNode):

@@ -166,8 +166,8 @@ class _ScanProgram:
     #: per sargable factor, per DNF group: (matcher factory, value closure)
     sarg_parts: list[list[list[tuple[Callable, EvalFn]]]]
     #: structural mirror of ``sarg_parts``: (column position, operator) per
-    #: predicate, so the parallel exchange can recognize equality probe
-    #: keys without re-walking the plan.
+    #: predicate, from which the process backend rebuilds value-bound
+    #: SARGs without re-walking the plan.
     sarg_specs: list[list[list[tuple[int, CompareOp]]]] = field(
         default_factory=list
     )

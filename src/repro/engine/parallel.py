@@ -6,10 +6,8 @@ segment's page list is snapshotted once per driver call
 (:meth:`repro.rss.storage.StorageEngine.scan_snapshot`), split into
 contiguous ranges, and each range is handed to a worker that decodes,
 SARG-matches, filters, and projects its pages against the *same* compiled
-closure programs the serial driver would run.  A nested-loop join gets an
-exchange operator instead: equality probe SARGs hash-repartition the
-inner relation once per statement, and workers answer probes by bucket
-lookup rather than by rescanning the inner pages.
+closure programs the serial driver would run.  Nested-loop joins run the
+fused engine's own driver, whose bucketed probe needs no workers.
 
 Counter fidelity is the contract that keeps ``repro bench --exec
 --compare`` bit-identical to ``fused``:
@@ -29,10 +27,9 @@ Counter fidelity is the contract that keeps ``repro bench --exec
   interleaving with any downstream breaker's page traffic.
 
 Row order is preserved by construction: morsels are contiguous page
-ranges, the gather concatenates morsel results in submission order, and
-hash buckets are built in (page, slot) order, so every driver emits rows
-in exactly the serial scan order — no sort is needed to keep
-order-dependent plans honest.
+ranges and the gather concatenates morsel results in submission order,
+so every driver emits rows in exactly the serial scan order — no sort is
+needed to keep order-dependent plans honest.
 
 Eligibility is strict and failure is silent: a chain whose SARG values,
 residuals, filters, or projections contain a subquery, or whose access
@@ -62,36 +59,31 @@ from __future__ import annotations
 import heapq
 from functools import partial
 
-from ..optimizer.bound import BoundColumn, BoundSubquery
+from ..optimizer.bound import BoundColumn
 from ..optimizer.plan import (
     AggregateNode,
     FilterNode,
     HashJoinNode,
     IndexAccess,
-    NestedLoopJoinNode,
     ProjectNode,
     ScanNode,
 )
 from ..rss.counters import CostCounters
 from ..rss.sargs import (
-    CompareOp,
     ConjunctiveSargs,
     SargPredicate,
     Sargs,
-    and_matcher,
-    dnf_matcher,
 )
 from ..rss.scan import DEFAULT_BATCH_SIZE, decode_page_rows
-from ..sql import ast
 from .evaluator import EvalEnv
 from .external_sort import _HeapKey, _sorted_run
+from .fuse import _collapse, _columns_getter, _combine, _fused_program
 from .operators import (
     ExecContext,
     _AggState,
     _build_aggregate,
     _build_filter,
     _build_hash_join,
-    _build_nested_loop,
     _build_project,
     _build_scan,
     _HashJoinProgram,
@@ -100,6 +92,7 @@ from .operators import (
     build_hash_table,
     compile_sarg_matcher,
 )
+from .probe import scan_exprs, subquery_free
 from .rows import AGGREGATE_ALIAS, OUTPUT_ALIAS, Row
 from .scheduler import (
     AggCallSpec,
@@ -112,7 +105,7 @@ from .scheduler import (
     scan_ranges,
 )
 
-#: Outer rows per probe task for the nested-loop exchange.
+#: Outer rows per probe task for the hash-join probe exchange.
 _PROBE_CHUNK = 64
 
 #: Below this workspace size a parallel sorted run is not worth the
@@ -124,34 +117,6 @@ _SORT_SLICE_MIN_ROWS = 512
 # ---------------------------------------------------------------------------
 # eligibility
 # ---------------------------------------------------------------------------
-
-#: Expression nodes that evaluate through the runtime's subquery machinery.
-#: ``walk_expr`` yields (and does not descend into) both forms.
-_SUBQUERY_NODES = (BoundSubquery, ast.InSubquery)
-
-
-def _subquery_free(exprs) -> bool:
-    """True when no expression reaches the runtime's subquery machinery.
-
-    Subquery evaluation mutates statement-scoped caches and fetches pages
-    mid-expression; both would break worker confinement and the replayed
-    fetch trace, so any subquery anywhere in a chain vetoes parallelism.
-    """
-    for expr in exprs:
-        for node in ast.walk_expr(expr):
-            if type(node) in _SUBQUERY_NODES:
-                return False
-    return True
-
-
-def _scan_exprs(node: ScanNode) -> list:
-    exprs = list(node.residual)
-    for expression in node.sargs:
-        for group in expression.groups:
-            for pred in group:
-                exprs.append(pred.value)
-    return exprs
-
 
 def _segment_scan_eligible(node: ScanNode, program: _ScanProgram) -> bool:
     """Parallel drivers handle plain segment scans only.
@@ -337,10 +302,8 @@ def parallel_chain_driver(
         return None
     filter_exprs = [pred for f in filters for pred in f.predicates]
     project_exprs = [] if project is None else list(project.exprs)
-    if not _subquery_free(_scan_exprs(scan_node) + filter_exprs + project_exprs):
+    if not subquery_free(scan_exprs(scan_node) + filter_exprs + project_exprs):
         return None
-    from .fuse import _combine
-
     alias = scan_node.alias
     preds = [program.residual]
     preds.extend(_program(f, ctx, _build_filter) for f in filters)
@@ -447,12 +410,10 @@ def parallel_output_driver(
     if not _segment_scan_eligible(scan_node, program):
         return None
     filter_exprs = [pred for f in filters for pred in f.predicates]
-    if not _subquery_free(
-        _scan_exprs(scan_node) + filter_exprs + list(project.exprs)
+    if not subquery_free(
+        scan_exprs(scan_node) + filter_exprs + list(project.exprs)
     ):
         return None
-    from .fuse import _columns_getter, _combine
-
     alias = scan_node.alias
     preds = [program.residual]
     preds.extend(_program(f, ctx, _build_filter) for f in filters)
@@ -528,206 +489,6 @@ def parallel_output_driver(
 
 
 # ---------------------------------------------------------------------------
-# exchange: hash-repartitioned nested-loop probes
-# ---------------------------------------------------------------------------
-
-
-def _probe_keys(program: _ScanProgram) -> tuple[tuple[int, ...], list[int], list]:
-    """Split SARG parts into hash-key equality conjuncts and the rest.
-
-    A part whose DNF is a single group of all-equality predicates is a
-    conjunction of ``column = probe-value`` terms: its column positions
-    become hash-key components and its value closures compute the probe
-    key.  Remaining parts stay as a per-probe matcher over bucket
-    candidates.
-    """
-    key_positions: list[int] = []
-    key_value_fns: list = []
-    rest_parts: list[int] = []
-    for index, (part, spec_part) in enumerate(
-        zip(program.sarg_parts, program.sarg_specs)
-    ):
-        if len(part) == 1 and all(op is CompareOp.EQ for __, op in spec_part[0]):
-            for (position, __), (___, value_fn) in zip(spec_part[0], part[0]):
-                key_positions.append(position)
-                key_value_fns.append(value_fn)
-        else:
-            rest_parts.append(index)
-    return tuple(key_positions), rest_parts, key_value_fns
-
-
-def _build_buckets(
-    snapshot, decode, key_positions: tuple[int, ...]
-) -> dict[tuple, list]:
-    """Hash-repartition the frozen inner relation by its probe-key columns.
-
-    Built once per statement from the page-store snapshot (no counter
-    effects), in (page, slot) order so every bucket preserves the serial
-    scan order.  Rows with a NULL key component are excluded: SQL
-    equality never matches NULL, exactly as the serial matcher's
-    reject-all behaviour for a NULL comparison value.
-    """
-    buckets: dict[tuple, list] = {}
-    get_page = snapshot.get_page
-    relation_id = snapshot.relation_id
-    for page_id in snapshot.page_ids:
-        rows = decode_page_rows(page_id, get_page(page_id), relation_id, decode)
-        for item in rows:
-            values = item[1]
-            key = tuple([values[position] for position in key_positions])
-            if None in key:
-                continue
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [item]
-            else:
-                bucket.append(item)
-    return buckets
-
-
-def _probe_chunk(
-    ctx: ExecContext,
-    outer: EvalEnv | None,
-    outer_rows: list[Row],
-    buckets: dict[tuple, list],
-    key_value_fns,
-    rest_parts,
-    inner_alias: str,
-    inner_test,
-    residual,
-) -> tuple[CostCounters, list[list[Row]]]:
-    """One worker task: answer a chunk of probes by hash lookup.
-
-    Per outer row this reproduces exactly what one serial inner scan
-    computes — the SARG-matched tuple set (now a bucket plus the residual
-    SARG matcher), its RSI charge, the inner residual test, and the join
-    residual — against private environments and counters.  The driving
-    thread replays the probe's page fetches.
-    """
-    counters = CostCounters()
-    count_rsi = counters.count_rsi_call
-    probe_env = ctx.env(Row(), outer)
-    inner_env = ctx.env(Row(), probe_env)
-    join_env = ctx.env(Row(), outer)
-    no_match: list = []
-    results: list[list[Row]] = []
-    for outer_row in outer_rows:
-        probe_env.row = outer_row
-        key = tuple([fn(probe_env) for fn in key_value_fns])
-        if None in key:
-            matched = no_match
-        else:
-            matched = buckets.get(key, no_match)
-            if matched and rest_parts:
-                groups = [
-                    [
-                        [make(value_fn(probe_env)) for make, value_fn in group]
-                        for group in part
-                    ]
-                    for part in rest_parts
-                ]
-                rest = and_matcher([dnf_matcher(g) for g in groups])
-                if rest is not None:
-                    matched = [item for item in matched if rest(item[1])]
-        count_rsi(len(matched))
-        out: list[Row] = []
-        append = out.append
-        outer_values = outer_row.values
-        outer_tids = outer_row.tids
-        for tid, values in matched:
-            if inner_test is not None:
-                inner_env.row = Row(
-                    values={inner_alias: values}, tids={inner_alias: tid}
-                )
-                if not inner_test(inner_env):
-                    continue
-            merged = Row(
-                values={**outer_values, inner_alias: values},
-                tids={**outer_tids, inner_alias: tid},
-            )
-            if residual is not None:
-                join_env.row = merged
-                if not residual(join_env):
-                    continue
-            append(merged)
-        results.append(out)
-    return counters, results
-
-
-def parallel_nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext):
-    """A hash-exchange nested-loop driver, or ``None`` when ineligible.
-
-    Eligible when the inner is a plain segment scan whose SARGs include
-    at least one all-equality conjunct and no expression anywhere in the
-    probe (SARG values, inner residual, join residual) contains a
-    subquery.  The serial driver rescans every inner page per outer row;
-    here the relation is hashed once and each probe is a bucket lookup,
-    while the per-probe page fetches are replayed through the buffer pool
-    so the cost trace is unchanged.
-    """
-    inner = node.inner
-    inner_program: _ScanProgram = _program(inner, ctx, _build_scan)
-    if not _segment_scan_eligible(inner, inner_program):
-        return None
-    if not _subquery_free(_scan_exprs(inner) + list(node.residual)):
-        return None
-    key_positions, rest_indexes, key_value_fns = _probe_keys(inner_program)
-    if not key_positions:
-        return None
-    rest_parts = [inner_program.sarg_parts[i] for i in rest_indexes]
-    residual = _program(node, ctx, _build_nested_loop)
-    inner_alias = inner.alias
-    inner_test = inner_program.residual
-    decode = inner_program.decode_plan.decode
-    inner_table = inner.table
-    from .fuse import _fused_program
-
-    outer_source = _fused_program(node.outer, ctx)
-
-    def driver(ctx: ExecContext, outer: EvalEnv | None):
-        snapshot = ctx.storage.scan_snapshot(inner_table)
-        inner_pages = snapshot.page_ids
-        buckets = _build_buckets(snapshot, decode, key_positions)
-        # Probe tasks close over the shared buckets and compiled
-        # residuals — unpicklable, so the exchange stays on threads
-        # whatever REPRO_BACKEND selects for scans.
-        backend = get_backend(ctx.workers, "thread")
-        fetch = ctx.storage.buffer.fetch
-        merge = ctx.storage.counters.merge
-        for outer_batch in outer_source(ctx, outer):
-            tasks = [
-                (
-                    lambda rows=outer_batch[lo:hi]: _probe_chunk(
-                        ctx,
-                        outer,
-                        rows,
-                        buckets,
-                        key_value_fns,
-                        rest_parts,
-                        inner_alias,
-                        inner_test,
-                        residual,
-                    )
-                )
-                for lo, hi in partition_ranges(
-                    len(outer_batch), max(backend.workers, len(outer_batch) // _PROBE_CHUNK)
-                )
-            ]
-            out: list[Row] = []
-            extend = out.extend
-            for counters, results in backend.imap(tasks):
-                merge(counters)
-                for probe_out in results:
-                    for page_id in inner_pages:
-                        fetch(page_id)
-                    extend(probe_out)
-            if out:
-                yield out
-
-    return driver
-
-
-# ---------------------------------------------------------------------------
 # exchange: partitioned probes over a shared hash-join build table
 # ---------------------------------------------------------------------------
 
@@ -784,11 +545,9 @@ def parallel_hash_join_driver(node: HashJoinNode, ctx: ExecContext):
     traffic is inherently serial, so they stay on the serial driver (the
     fuse dispatch never routes them here).
     """
-    if not _subquery_free(node.residual):
+    if not subquery_free(node.residual):
         return None
     program: _HashJoinProgram = _program(node, ctx, _build_hash_join)
-    from .fuse import _fused_program
-
     outer_source = _fused_program(node.outer, ctx)
     getters = program.outer_getters
     residual = program.residual
@@ -889,8 +648,6 @@ def parallel_aggregate_driver(node: AggregateNode, ctx: ExecContext):
     Aggregate folds touch no counters, so the fetch replay per morsel
     keeps the serial page trace.
     """
-    from .fuse import _collapse
-
     project, filters, bottom = _collapse(node.child)
     if project is not None or filters or not isinstance(bottom, ScanNode):
         return None
@@ -901,7 +658,7 @@ def parallel_aggregate_driver(node: AggregateNode, ctx: ExecContext):
     if not _segment_scan_eligible(scan_node, scan_program):
         return None
     having_exprs = [] if node.having is None else [node.having]
-    if not _subquery_free(_scan_exprs(scan_node) + having_exprs):
+    if not subquery_free(scan_exprs(scan_node) + having_exprs):
         return None
     alias = scan_node.alias
     for column in node.group_by:

@@ -63,6 +63,24 @@ class BufferPool:
                 if len(self._resident) > self.capacity:
                     self._resident.popitem(last=False)
 
+    def note_fetches(self, page_ids) -> None:
+        """Account accesses to ``page_ids`` in order, exactly as one
+        :meth:`note_fetch` per id would — for a driver replaying the fetch
+        trace of a scan whose pages it read without the pool."""
+        counters = self._counters
+        resident = self._resident
+        capacity = self.capacity
+        with self._lock:
+            for page_id in page_ids:
+                if page_id in resident:
+                    resident.move_to_end(page_id)
+                    counters.buffer_hits += 1
+                else:
+                    counters.page_fetches += 1
+                    resident[page_id] = None
+                    if len(resident) > capacity:
+                        resident.popitem(last=False)
+
     def fetch(self, page_id: int) -> object:
         """Return the page object, counting a page fetch on a miss."""
         self.note_fetch(page_id)

@@ -86,27 +86,32 @@ class Page:
 
     # -- space accounting -------------------------------------------------
 
+    def slot_directory(self) -> list[tuple[int, int]]:
+        """Every slot's ``(offset, length)``, in slot order, in one pass.
+
+        The directory grows downward from the page end, so one
+        :meth:`struct.Struct.iter_unpack` over its bytes yields the slots
+        last-first; reversing puts slot 0 first.
+        """
+        slot_count = _HEADER.unpack_from(self.data, 0)[0]
+        start = PAGE_SIZE - _SLOT_SIZE * slot_count
+        directory = list(_SLOT.iter_unpack(memoryview(self.data)[start:]))
+        directory.reverse()
+        return directory
+
     def free_space(self) -> int:
         """Contiguous bytes available for a new record plus its slot."""
         slot_count, free_ptr = self._header()
         directory_start = PAGE_SIZE - _SLOT_SIZE * slot_count
         return max(0, directory_start - free_ptr)
 
-    def dead_space(self) -> int:
-        """Bytes occupied by deleted records, reclaimable by compaction."""
-        __, free_ptr = self._header()
-        live = sum(length for ___, length in self._live_slots())
-        return free_ptr - _HEADER_SIZE - live
-
-    def _live_slots(self):
-        for slot in range(self.slot_count):
-            offset, length = self._slot(slot)
-            if length:
-                yield slot, length
-
     def compact(self) -> None:
         """Rewrite live records contiguously, reclaiming dead space."""
-        records = [(slot, self.read(slot)) for slot, __ in self._live_slots()]
+        records = [
+            (slot, bytes(self.data[offset : offset + length]))
+            for slot, (offset, length) in enumerate(self.slot_directory())
+            if length
+        ]
         write_ptr = _HEADER_SIZE
         for slot, record in records:
             self.data[write_ptr : write_ptr + len(record)] = record
@@ -115,6 +120,25 @@ class Page:
         self._set_header(self.slot_count, write_ptr)
         self.dirty = True
 
+    def _space(self) -> tuple[int | None, int, int]:
+        """``(first empty slot or None, free bytes, dead bytes)`` from one
+        pass over the slot directory."""
+        slot_count, free_ptr = self._header()
+        directory_start = PAGE_SIZE - _SLOT_SIZE * slot_count
+        empty: int | None = None
+        live = 0
+        # Last slot first (the directory grows downward), so the final
+        # empty slot seen is the lowest-numbered one.
+        slot = slot_count
+        for __, length in _SLOT.iter_unpack(memoryview(self.data)[directory_start:]):
+            slot -= 1
+            if length:
+                live += length
+            else:
+                empty = slot
+        free = max(0, directory_start - free_ptr)
+        return empty, free, free_ptr - _HEADER_SIZE - live
+
     def can_fit(self, record_size: int) -> bool:
         """Whether a record of ``record_size`` bytes fits on this page.
 
@@ -122,16 +146,9 @@ class Page:
         Reusing an empty slot needs only the record bytes; otherwise a new
         slot directory entry is also required.
         """
-        needed = record_size
-        if self._find_empty_slot() is None:
-            needed += _SLOT_SIZE
-        return self.free_space() + self.dead_space() >= needed
-
-    def _find_empty_slot(self) -> int | None:
-        for slot in range(self.slot_count):
-            if self._slot(slot)[1] == 0:
-                return slot
-        return None
+        empty, free, dead = self._space()
+        needed = record_size + (_SLOT_SIZE if empty is None else 0)
+        return free + dead >= needed
 
     # -- record operations --------------------------------------------------
 
@@ -144,13 +161,12 @@ class Page:
         """
         if len(record) > USABLE_PAGE_BYTES:
             raise RecordTooLargeError(len(record), USABLE_PAGE_BYTES)
-        slot = self._find_empty_slot()
+        slot, free, dead = self._space()
         needed = len(record) + (0 if slot is not None else _SLOT_SIZE)
-        if self.free_space() < needed:
-            if self.free_space() + self.dead_space() < needed:
+        if free < needed:
+            if free + dead < needed:
                 raise PageFullError(
-                    f"page {self.page_id}: need {needed} bytes, "
-                    f"have {self.free_space()}"
+                    f"page {self.page_id}: need {needed} bytes, have {free}"
                 )
             self.compact()
         slot_count, free_ptr = self._header()
@@ -193,10 +209,10 @@ class Page:
 
     def records(self) -> Iterator[tuple[int, bytes]]:
         """Yield (slot, record bytes) for every occupied slot, in slot order."""
-        for slot in range(self.slot_count):
-            offset, length = self._slot(slot)
+        data = self.data
+        for slot, (offset, length) in enumerate(self.slot_directory()):
             if length:
-                yield slot, bytes(self.data[offset : offset + length])
+                yield slot, bytes(data[offset : offset + length])
 
     def occupied_slots(self) -> int:
         """Slots currently holding a record."""
@@ -211,3 +227,40 @@ class Page:
         copy = Page(self.page_id, bytearray(self.data))
         copy.dirty = self.dirty
         return copy
+
+
+class PageWriter:  # concurrency: statement-scoped
+    """Append-only record writer for a page that is only ever appended to.
+
+    Temporary lists (sort runs, grace partitions) write each page once,
+    front to back, and never delete, so such a page has no dead bytes and
+    no empty slot.  A record then fits exactly when the free bytes between
+    the records and the slot directory hold the record plus its slot —
+    the answer :meth:`Page.can_fit` gives on such a page, without its
+    directory scan — and each append writes the same bytes
+    :meth:`Page.insert` would (gated by ``tests/test_codec_plans.py``).
+    """
+
+    __slots__ = ("page", "_data", "_slots", "_free_ptr")
+
+    def __init__(self, page: Page):
+        self.page = page
+        self._data = page.data
+        self._slots, self._free_ptr = page._header()
+
+    def append(self, record: bytes) -> bool:
+        """Store ``record`` in the next slot; ``False`` if it does not fit."""
+        size = len(record)
+        start = self._free_ptr
+        slots = self._slots + 1
+        if PAGE_SIZE - _SLOT_SIZE * slots - start < size:
+            return False
+        end = start + size
+        data = self._data
+        data[start:end] = record
+        _SLOT.pack_into(data, PAGE_SIZE - _SLOT_SIZE * slots, start, size)
+        _HEADER.pack_into(data, 0, slots, end)
+        self._slots = slots
+        self._free_ptr = end
+        self.page.dirty = True
+        return True

@@ -58,7 +58,7 @@ from .counters import CostCounters
 from .page import Page, TupleId
 from .sargs import ConjunctiveSargs, Sargs, compile_matcher
 from .segment import Segment
-from .tuples import DecodePlan, record_relation_id
+from .tuples import DecodePlan
 
 #: Matching tuples per yielded batch for page-aligned segment scans.
 DEFAULT_BATCH_SIZE = 256
@@ -87,11 +87,18 @@ def decode_page_rows(
     Pure over the page's current records — no counters, no buffer —
     which is what lets parallel workers run it against a page-store
     snapshot while the driving thread replays the buffer-pool fetches.
+    The slot directory is read in one pass, the relation tag is compared
+    byte-wise in place (records of other relations are never copied),
+    and each record decodes from a single slice of the page bytes.
     """
+    high, low = divmod(relation_id, 256)
+    data = page.data
+    # ``tuple.__new__`` skips the NamedTuple constructor's Python frame.
+    new = tuple.__new__
     return [
-        (TupleId(page_id, slot), decode(record))
-        for slot, record in page.records()
-        if record_relation_id(record) == relation_id
+        (new(TupleId, (page_id, slot)), decode(data[offset : offset + length]))
+        for slot, (offset, length) in enumerate(page.slot_directory())
+        if length and data[offset] == high and data[offset + 1] == low
     ]
 
 
@@ -133,41 +140,24 @@ class SegmentScan:
         batch_size = self._batch_size
         fetch = self._buffer.fetch
         cache = self._decode_cache
-        if cache is not None:
-            for page_id in self._page_ids:
-                page = fetch(page_id)  # counter-faithful even on cache hits
-                assert isinstance(page, Page)
+        for page_id in self._page_ids:
+            page = fetch(page_id)  # counter-faithful even on cache hits
+            assert isinstance(page, Page)
+            if cache is None:
+                rows = decode_page_rows(page_id, page, relation_id, decode)
+            else:
                 rows = cache.get(page_id)
                 if rows is None:
                     rows = decode_page_rows(page_id, page, relation_id, decode)
                     cache[page_id] = rows
-                batch: Batch = []
-                for item in rows:
-                    if matcher is not None and not matcher(item[1]):
-                        continue
-                    batch.append(item)
-                    if len(batch) >= batch_size:
-                        yield batch
-                        batch = []
-                if batch:
-                    yield batch
-            return
-        for page_id in self._page_ids:
-            page = fetch(page_id)
-            assert isinstance(page, Page)
-            batch = []
-            for slot, record in page.records():
-                if record_relation_id(record) != relation_id:
-                    continue
-                values = decode(record)
-                if matcher is not None and not matcher(values):
-                    continue
-                batch.append((TupleId(page_id, slot), values))
-                if len(batch) >= batch_size:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
+            if matcher is not None:
+                rows = [item for item in rows if matcher(item[1])]
+            if len(rows) <= batch_size:
+                if rows:
+                    yield rows
+                continue
+            for start in range(0, len(rows), batch_size):
+                yield rows[start : start + batch_size]
 
     def __iter__(self) -> Iterator[tuple[TupleId, tuple]]:
         counters = self._counters

@@ -69,6 +69,9 @@ class _SnapshotBuffer:
         self._shared.note_fetch(page_id)
         return self._pages.get(page_id)
 
+    def note_fetches(self, page_ids) -> None:
+        self._shared.note_fetches(page_ids)
+
     def invalidate(self, page_id: int) -> None:
         self._shared.invalidate(page_id)
 

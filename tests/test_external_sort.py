@@ -158,3 +158,69 @@ class TestEndToEndMultiPass:
         assert measured.rsi_calls == pytest.approx(
             planned.estimated_cost.rsi, rel=0.5
         )
+
+
+def temp_pages(storage):
+    store = storage.store
+    return [page_id for page_id in store.page_ids() if store.is_temp(page_id)]
+
+
+class TestRunsDroppedOnEveryExit:
+    """A sort frees every run it wrote, however it ends."""
+
+    def test_input_failure_during_run_generation(self):
+        storage = StorageEngine()
+
+        def failing_input():
+            yield from make_rows(100)
+            raise RuntimeError("input failed")
+
+        sorter = sorter_for(storage, memory_rows=10)
+        with pytest.raises(RuntimeError, match="input failed"):
+            list(sorter.sort(failing_input()))
+        assert temp_pages(storage) == []
+
+    def test_failure_during_a_merge_pass(self, monkeypatch):
+        from repro.engine import external_sort
+
+        storage = StorageEngine()
+        sorter = sorter_for(storage, memory_rows=10, fan_in=2)
+        calls = []
+        original = external_sort._HeapKey.__init__
+
+        def failing_init(self, row, keys):
+            calls.append(row)
+            if len(calls) > 15:
+                raise RuntimeError("merge failed")
+            original(self, row, keys)
+
+        monkeypatch.setattr(external_sort._HeapKey, "__init__", failing_init)
+        with pytest.raises(RuntimeError, match="merge failed"):
+            list(sorter.sort(iter(make_rows(100))))
+        assert temp_pages(storage) == []
+
+    def test_consumer_closes_early(self):
+        storage = StorageEngine()
+        sorter = sorter_for(storage, memory_rows=10, fan_in=3)
+        ordered = sorter.sort(iter(make_rows(200)))
+        next(ordered)
+        assert temp_pages(storage)
+        ordered.close()
+        assert temp_pages(storage) == []
+
+    def test_failing_order_by_query_leaks_nothing(self):
+        """An ORDER BY whose input raises mid-sort leaves no temp page
+        behind, and ``verify_storage`` stays clean."""
+        from repro.analysis.storage_check import verify_storage
+        from repro.errors import ExecutionError
+
+        db = Database(buffer_pages=4)
+        db.execute("CREATE TABLE T (A INTEGER, B INTEGER, S VARCHAR(200))")
+        load_rows(
+            db, "T", [(i, (i * 7) % 600, "x" * (i % 150)) for i in range(600)]
+        )
+        db.execute("UPDATE STATISTICS")
+        with pytest.raises(ExecutionError):
+            db.execute("SELECT A, S FROM T WHERE 10 / (A - 500) > -100 ORDER BY B")
+        assert temp_pages(db.storage) == []
+        assert verify_storage(db) == []

@@ -1,8 +1,8 @@
 """Parallel execution ≡ fused ≡ interpreter, at every worker count.
 
 The parallel engine (``engine/parallel.py``) partitions segment scans into
-page ranges, runs the fused per-batch drivers on a worker pool, and
-repartitions nested-loop probes through a hash exchange.  Parallelism must
+page ranges and runs the fused per-batch drivers on a worker pool; nested
+loops run the fused driver's bucketed probe.  Parallelism must
 be invisible: these tests run the same queries through
 ``exec_mode="parallel"`` at 1, 2, and 4 workers against the fused and
 interpreted engines over physically identical databases and require
@@ -100,20 +100,26 @@ def test_parallel_preserves_declared_orders(empdept_matrix, sql):
         assert deltas[count] == deltas["fused"] == deltas["interp"]
 
 
-def test_parallel_star_join_uses_the_hash_exchange(empdept_matrix):
-    """A segment-scan inner with an equality probe goes through the hash
-    exchange; the counters still replay the serial nested-loop trace."""
+def test_star_join_uses_the_bucketed_probe(empdept_matrix):
+    """A segment-scan inner with an equality probe goes through the fused
+    driver's bucketed probe in every fused mode; the counters still
+    replay the per-probe nested-loop trace of the interpreter."""
+    from repro.engine.fuse import describe_chains
+
     sql = (
         "SELECT NAME, DNAME FROM EMP, DEPT "
         "WHERE EMP.DNO = DEPT.DNO AND SAL > 300"
     )
+    chains = describe_chains(empdept_matrix["fused"].plan(sql).root)
+    assert any("bucketed probe" in chain for chain in chains), chains
     rows = {}
     deltas = {}
     for key, db in empdept_matrix.items():
         rows[key], deltas[key] = _cold_run(db, sql)
-    assert rows[4] == rows["fused"]
-    assert deltas[4] == deltas["fused"]
-    assert rows[4], "the star probe query must return rows to mean anything"
+    for key in empdept_matrix:
+        assert rows[key] == rows["interp"]
+        assert deltas[key] == deltas["interp"]
+    assert rows["fused"], "the star probe query must return rows to mean anything"
 
 
 # ---------------------------------------------------------------------------

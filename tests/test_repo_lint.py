@@ -252,6 +252,67 @@ def test_hot_path_rule_covers_temp_and_external_sort(tmp_path):
     assert "engine/external_sort.py" in wheres
 
 
+def test_flags_row_at_a_time_page_writes_in_temp_loops(tmp_path):
+    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
+    write(
+        tmp_path,
+        "engine/temp.py",
+        """
+        def append_all(rows, page, datatypes):
+            for row in rows:
+                record = encode_tuple(0, row, datatypes)
+                if page.can_fit(len(record)):
+                    page.insert(record)
+        """,
+    )
+    write(
+        tmp_path,
+        "engine/external_sort.py",
+        """
+        def spill(rows, page):
+            for row in rows:
+                page.insert(row)
+        """,
+    )
+    write(
+        tmp_path,
+        "engine/fuse.py",
+        """
+        def driver(batches, page):
+            for batch in batches:
+                page.can_fit(len(batch))
+        """,
+    )
+    # the same calls outside those modules, or outside loops, are fine
+    write(
+        tmp_path,
+        "rss/segment.py",
+        """
+        def insert_all(records, page):
+            for record in records:
+                if page.can_fit(len(record)):
+                    page.insert(record)
+        """,
+    )
+    write(
+        tmp_path,
+        "engine/operators.py",
+        """
+        def one(page, record):
+            return page.insert(encode_tuple(0, record, []))
+        """,
+    )
+    violations = by_rule(tmp_path, "executor-hot-path")
+    assert len(violations) == 5
+    wheres = " ".join(v.where for v in violations)
+    assert "engine/temp.py" in wheres
+    assert "engine/external_sort.py" in wheres
+    assert "engine/fuse.py" in wheres
+    messages = " ".join(v.message for v in violations)
+    for name in ("encode_tuple", "can_fit", "insert"):
+        assert name in messages
+
+
 def test_flags_hash_build_inside_loop(tmp_path):
     write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
     write(

@@ -81,6 +81,13 @@ class TestPageCorruption:
         db.storage.store.allocate_data_page()
         assert rules(verify_storage(db)) == {"orphan-page"}
 
+    def test_leaked_temp_page_detected(self):
+        """A scratch page still registered between statements is a sort
+        run or temporary list some exit path forgot to drop."""
+        db = healthy_db()
+        db.storage.store.allocate_data_page(temp=True)
+        assert rules(verify_storage(db)) == {"temp-page-leaked"}
+
     def test_segment_listing_missing_page_detected(self):
         db = healthy_db()
         segment = next(iter(db.storage._segments.values()))
